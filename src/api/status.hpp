@@ -1,8 +1,8 @@
-// api::Status — the structured error model of the v2 facade (docs/API.md).
-// Version-independent: codes live directly in crowdmap::api so a future v3
-// shares them, and each code names a caller-actionable condition (retry the
-// rejected chunks, refresh routing, back off, fix the deployment) instead of
-// a bare bool. v1's boolean `accepted` maps onto kOk / kRejectedChunks.
+// api::Status — the structured error model of the facade (docs/API.md).
+// Version-independent: codes live directly in crowdmap::api so a future
+// version shares them, and each code names a caller-actionable condition
+// (retry the rejected chunks, refresh routing, back off, fix the
+// deployment) instead of a bare bool.
 #pragma once
 
 #include <string>
@@ -37,7 +37,7 @@ enum class StatusCode : int {
 /// junk input. Stable — exported into logs and CI artifacts.
 [[nodiscard]] std::string_view to_string(StatusCode code) noexcept;
 
-/// Outcome of one v2 request: a code plus a human-readable detail message
+/// Outcome of one request: a code plus a human-readable detail message
 /// (empty on success). Cheap to copy; returned by value in every response.
 struct Status {
   StatusCode code = StatusCode::kOk;

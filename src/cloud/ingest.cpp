@@ -91,7 +91,6 @@ std::vector<Document> IngestService::sweep_expired_locked(std::uint64_t now) {
 }
 
 IngestStatus IngestService::deliver(const Chunk& chunk) {
-  const std::uint64_t now = clock_.advance();
   // One flight tick per delivered chunk mirrors the ingest logical clock, so
   // dump ordering lines up with session-expiry reasoning in a post-mortem.
   if (flight_ != nullptr) flight_->advance_tick();
@@ -103,6 +102,10 @@ IngestStatus IngestService::deliver(const Chunk& chunk) {
   IngestStatus result = IngestStatus::kAccepted;
   {
     common::MutexLock lock(mutex_);
+    // The tick is taken under the lock: a tick taken before it could be
+    // older than a session's last_activity set by a thread that entered
+    // first, and `now - last_activity` would underflow into an expiry.
+    const std::uint64_t now = clock_.advance();
     expired = sweep_expired_locked(now);
     const auto it = sessions_.find(chunk.upload_id);
     if (it == sessions_.end()) {

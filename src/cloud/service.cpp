@@ -271,14 +271,6 @@ std::shared_ptr<const core::PipelineResult> CrowdMapService::latest_plan(
   return it->second->latest();
 }
 
-core::CacheReuseStats CrowdMapService::last_cache_reuse(
-    const std::string& building, int floor) const {
-  common::MutexLock lock(mutex_);
-  const auto it = planners_.find({building, floor});
-  if (it == planners_.end()) return {};
-  return it->second->last_reuse();
-}
-
 std::vector<trajectory::Trajectory> CrowdMapService::trajectories(
     const std::string& building, int floor) const {
   core::IncrementalPlanner* planner = nullptr;

@@ -117,10 +117,6 @@ class CrowdMapService {
   [[nodiscard]] std::shared_ptr<const core::PipelineResult> latest_plan(
       const std::string& building, int floor) const CM_EXCLUDES(mutex_);
 
-  /// Cache reuse of the floor's most recent refresh (zeros before it).
-  [[nodiscard]] core::CacheReuseStats last_cache_reuse(
-      const std::string& building, int floor) const CM_EXCLUDES(mutex_);
-
   /// Admitted trajectories of one floor, sorted by video_id (the canonical
   /// refresh order). Call drain() first if extractions may be in flight.
   [[nodiscard]] std::vector<trajectory::Trajectory> trajectories(
@@ -174,13 +170,6 @@ class CrowdMapService {
   /// config.flight.enabled == false.
   [[nodiscard]] obs::FlightRecorder* flight_recorder() noexcept {
     return flight_.get();
-  }
-
-  /// The SLO watchdog built from config.slo (nullptr when every threshold
-  /// is 0/disabled). Evaluated after each foreground build and each
-  /// background refresh; evaluate() it directly for an on-demand check.
-  [[nodiscard]] obs::SloWatchdog* slo_watchdog() noexcept {
-    return watchdog_.get();
   }
 
  private:

@@ -114,7 +114,6 @@ std::shared_ptr<const PipelineResult> IncrementalPlanner::refresh(
   {
     common::MutexLock lock(mutex_);
     latest_ = result;
-    last_reuse_ = result->diagnostics.cache;
   }
   return result;
 }
@@ -122,11 +121,6 @@ std::shared_ptr<const PipelineResult> IncrementalPlanner::refresh(
 std::shared_ptr<const PipelineResult> IncrementalPlanner::latest() const {
   common::MutexLock lock(mutex_);
   return latest_;
-}
-
-CacheReuseStats IncrementalPlanner::last_reuse() const {
-  common::MutexLock lock(mutex_);
-  return last_reuse_;
 }
 
 std::vector<trajectory::Trajectory> IncrementalPlanner::trajectories() const {

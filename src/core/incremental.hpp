@@ -78,9 +78,6 @@ class IncrementalPlanner {
   [[nodiscard]] std::shared_ptr<const PipelineResult> latest() const
       CM_EXCLUDES(mutex_);
 
-  /// Cache reuse of the most recent refresh (all zeros before the first).
-  [[nodiscard]] CacheReuseStats last_reuse() const CM_EXCLUDES(mutex_);
-
   /// Kept trajectories, sorted by video_id (the refresh ingest order).
   [[nodiscard]] std::vector<trajectory::Trajectory> trajectories() const
       CM_EXCLUDES(mutex_);
@@ -132,7 +129,6 @@ class IncrementalPlanner {
   std::vector<std::pair<trajectory::Trajectory, cache::ArtifactKey>> corpus_
       CM_GUARDED_BY(mutex_);
   std::shared_ptr<const PipelineResult> latest_ CM_GUARDED_BY(mutex_);
-  CacheReuseStats last_reuse_ CM_GUARDED_BY(mutex_);
 
   /// Serializes refresh() bodies (held across the whole pipeline run, so it
   /// must never nest inside mutex_).

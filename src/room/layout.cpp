@@ -1,6 +1,7 @@
 #include "room/layout.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -42,14 +43,17 @@ std::vector<double> detect_floor_boundary(const imaging::Image& panorama,
   // from poster/door edges masquerading as the floor line.
   std::vector<double> smoothed = boundary;
   for (int c = 0; c < w; ++c) {
-    double window[5];
-    int n = 0;
+    // Unused slots hold +inf, so a full fixed-size sort leaves the n real
+    // samples in the first n slots, in order.
+    std::array<double, 5> window;
+    window.fill(std::numeric_limits<double>::infinity());
+    std::size_t n = 0;
     for (int d = -2; d <= 2; ++d) {
       const double v = boundary[static_cast<std::size_t>(((c + d) % w + w) % w)];
       if (!std::isnan(v)) window[n++] = v;
     }
     if (n >= 3) {
-      std::sort(window, window + n);
+      std::sort(window.begin(), window.end());
       smoothed[static_cast<std::size_t>(c)] = window[n / 2];
     }
   }

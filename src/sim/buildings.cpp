@@ -30,7 +30,7 @@ namespace {
                                             int side, double width, double depth) {
   RoomSpec r;
   r.id = id;
-  r.name = "R" + std::to_string(id);
+  r.name = std::string("R").append(std::to_string(id));
   r.width = width;
   r.depth = depth;
   r.center = {x, cy + side * (hw + depth / 2.0)};
@@ -43,7 +43,7 @@ namespace {
                                             int side, double width, double depth) {
   RoomSpec r;
   r.id = id;
-  r.name = "R" + std::to_string(id);
+  r.name = std::string("R").append(std::to_string(id));
   r.width = depth;   // depth extends along x here
   r.depth = width;
   r.center = {cx + side * (hw + depth / 2.0), y};

@@ -1,7 +1,5 @@
 #include "trajectory/aggregate.hpp"
 
-#include "trajectory/incremental.hpp"
-
 #include <algorithm>
 #include <cmath>
 #include <deque>

@@ -93,6 +93,14 @@ struct AggregationResult {
     std::span<const Trajectory> trajectories, const AggregationConfig& config,
     const AggregationRuntime& runtime = {});
 
+/// Places a precomputed edge set without re-matching (spanning tree +
+/// relaxation + outlier rejection): the back half of
+/// aggregate_trajectories, shared with baselines that find edges their own
+/// way.
+[[nodiscard]] AggregationResult place_edges(std::size_t n,
+                                            std::vector<MatchEdge> edges,
+                                            const AggregationConfig& config);
+
 /// Whether the S2 memo cache may be used for this batch: video ids must be
 /// unique or cache keys would collide across distinct key-frames.
 [[nodiscard]] bool s2_cache_usable(std::span<const Trajectory> trajectories);

@@ -210,7 +210,8 @@ TEST(AnalyzeLayering, ClusterSitsBetweenApiAndCloud) {
   // include it, it may include the cloud service it shards, and the cloud
   // service must never reach back up into the router.
   const auto clean = run({
-      {"src/api/v2.hpp", "#pragma once\n#include \"cluster/cluster.hpp\"\n"},
+      {"src/api/crowdmap.hpp",
+       "#pragma once\n#include \"cluster/cluster.hpp\"\n"},
       {"src/cluster/cluster.hpp",
        "#pragma once\n#include \"cloud/service.hpp\"\n"},
       {"src/cloud/service.hpp", "#pragma once\n"},

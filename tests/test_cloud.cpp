@@ -216,7 +216,7 @@ TEST(DocStore, FloorIndex) {
   cl::DocumentStore store;
   for (int i = 0; i < 5; ++i) {
     cl::Document doc;
-    doc.id = "d" + std::to_string(i);
+    doc.id = std::string("d").append(std::to_string(i));
     doc.building = i < 3 ? "Lab1" : "Lab2";
     doc.floor = 1;
     store.put(doc);
@@ -572,7 +572,7 @@ TEST(Ingest, ParallelDeliveryThreadSafe) {
   std::vector<cl::Blob> blobs;
   std::vector<std::vector<cl::Chunk>> chunk_sets;
   for (int u = 0; u < kUploads; ++u) {
-    const std::string id = "p" + std::to_string(u);
+    const std::string id = std::string("p").append(std::to_string(u));
     ingest.open_session(id, "Lab1", 1);
     blobs.push_back(make_blob(5000, 100 + static_cast<std::uint64_t>(u)));
     chunk_sets.push_back(cl::split_into_chunks(blobs.back(), id, 700));
@@ -589,7 +589,7 @@ TEST(Ingest, ParallelDeliveryThreadSafe) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(store.size(), static_cast<std::size_t>(kUploads));
   for (int u = 0; u < kUploads; ++u) {
-    EXPECT_EQ(store.get("p" + std::to_string(u))->payload,
+    EXPECT_EQ(store.get(std::string("p").append(std::to_string(u)))->payload,
               blobs[static_cast<std::size_t>(u)]);
   }
 }

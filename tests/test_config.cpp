@@ -166,12 +166,14 @@ TEST(ConfigKeyTable, DocsConfigMdMatchesTable) {
     if (line.rfind("| `", 0) == 0) ++rows;
   }
   EXPECT_EQ(rows, table.size()) << "docs/CONFIG.md row count drifted";
+  const auto quoted = [](const char* name) {
+    return std::string(1, '`').append(name).append("`");
+  };
   for (const auto& info : table) {
-    EXPECT_NE(doc.find("`" + std::string(info.key) + "`"), std::string::npos)
+    EXPECT_NE(doc.find(quoted(info.key)), std::string::npos)
         << "docs/CONFIG.md is missing " << info.key;
     if (info.alias != nullptr) {
-      EXPECT_NE(doc.find("`" + std::string(info.alias) + "`"),
-                std::string::npos)
+      EXPECT_NE(doc.find(quoted(info.alias)), std::string::npos)
           << "docs/CONFIG.md is missing alias " << info.alias;
     }
   }

@@ -19,7 +19,7 @@
 #include "sim/buildings.hpp"
 #include "sim/campaign.hpp"
 
-namespace ap = crowdmap::api::v1;
+namespace ap = crowdmap::api;
 namespace cc = crowdmap::common;
 namespace co = crowdmap::core;
 namespace cs = crowdmap::sim;
@@ -325,7 +325,7 @@ TEST(Flight, ApiClientExposesDumps) {
   ap::Client client(std::move(enabled));
   const auto dump = client.flight_dump();
   ASSERT_TRUE(dump.has_value());
-  const auto deterministic = client.flight_dump(/*deterministic=*/true);
+  const auto deterministic = client.flight_dump(0, /*deterministic=*/true);
   ASSERT_TRUE(deterministic.has_value());
   EXPECT_TRUE(deterministic->deterministic);
 

@@ -315,7 +315,7 @@ TEST(Export, JsonStillEscapesQuotesInHelp) {
 
 TEST(Metrics, FindSeriesDistinguishesAbsentFromZero) {
   obs::MetricsRegistry registry;
-  registry.counter("zero_total", {{"k", "v"}}, "help");  // registered, 0
+  (void)registry.counter("zero_total", {{"k", "v"}}, "help");  // registered, 0
   const obs::MetricsSnapshot snapshot = registry.snapshot();
 
   const obs::SeriesSnapshot* series =

@@ -803,7 +803,8 @@ TEST(DurableDocumentStore, MaybeCheckpointHonorsSnapshotEvery) {
   cl::DurableDocumentStore durable(store, env, options);
   ASSERT_TRUE(durable.open_and_recover().ok());
   for (int i = 0; i < 7; ++i) {
-    store.put(make_doc("d" + std::to_string(i), "Lab1", 1, "p"));
+    store.put(make_doc(std::string("d").append(std::to_string(i)), "Lab1", 1,
+                       "p"));
     durable.maybe_checkpoint();
   }
   EXPECT_EQ(durable.stats().checkpoints, 2u);

@@ -62,7 +62,7 @@ const std::vector<LayeringException> kAllowlist = {
      "the evaluation harness drives pipeline stages directly to compare "
      "per-stage output against ground truth"},
     {"eval", "api",
-     "end-to-end accuracy runs exercise the public api::v1 facade exactly "
+     "end-to-end accuracy runs exercise the public api::Client facade exactly "
      "as an SDK consumer would"},
 };
 

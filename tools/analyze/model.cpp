@@ -819,7 +819,8 @@ class ModelBuilder {
     std::string path = e;
     std::size_t arrow;
     while ((arrow = path.find("->")) != std::string::npos) {
-      path.replace(arrow, 2, ".");
+      path.erase(arrow, 1);  // "->" becomes "."
+      path[arrow] = '.';
     }
     return owner.empty() ? path : owner + "::" + path;
   }

@@ -38,7 +38,8 @@ std::string location(std::string_view origin, std::size_t line_no) {
 /// (bench/bench_util.hpp) writes a fixed flat object, so a targeted scan is
 /// exact here — no general JSON parser needed.
 bool extract_number(std::string_view json, std::string_view key, double* out) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle(1, '"');
+  needle.append(key).append("\":");
   const std::size_t at = json.find(needle);
   if (at == std::string_view::npos) return false;
   const std::string rest(json.substr(at + needle.size()));
@@ -51,7 +52,8 @@ bool extract_number(std::string_view json, std::string_view key, double* out) {
 
 bool extract_string(std::string_view json, std::string_view key,
                     std::string* out) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
+  std::string needle(1, '"');
+  needle.append(key).append("\":\"");
   const std::size_t at = json.find(needle);
   if (at == std::string_view::npos) return false;
   std::string value;
