@@ -1,5 +1,6 @@
 // Parallel hot-path speedups: pairwise aggregation fan-out, sharded layout
-// scoring, and the S2 memo cache, at 1 / 2 / 4 threads.
+// scoring, and the S2 memo cache, at 1 / 2 / 4 threads, plus the simulated
+// campaign render at 1 / 4 threads.
 //
 // Emits BENCH_parallel.json lines: per-stage wall-clock at each thread count,
 // the threads=4 vs threads=1 speedup ratios, S2 cache hit statistics, and the
@@ -17,7 +18,9 @@
 #include "common/memo_cache.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
+#include "eval/datasets.hpp"
 #include "room/layout.hpp"
+#include "sim/campaign.hpp"
 #include "trajectory/aggregate.hpp"
 #include "vision/panorama.hpp"
 
@@ -108,6 +111,28 @@ int main() {
   }
   bench::emit_bench_scalar(kBench, "layout_speedup_t4",
                            layout_means.front() / layout_means.back());
+
+  // ---- Campaign render: rounds of one video per user on the pool (Lab1
+  // with a quarter of its hallway walks).
+  const auto dataset = eval::lab1_dataset(0.25);
+  std::vector<double> render_means;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    sim::CampaignOptions options = dataset.options;
+    options.threads = threads;
+    std::vector<double> samples;
+    for (int r = 0; r < kRepeats; ++r) {
+      timer.restart();
+      sim::generate_campaign_streaming(dataset.building, options, dataset.seed,
+                                       [](sim::SensorRichVideo&&) {});
+      samples.push_back(timer.elapsed_seconds());
+    }
+    bench::emit_bench_json(kBench,
+                           "campaign_render_threads" + std::to_string(threads),
+                           samples);
+    render_means.push_back(common::summarize(samples).mean);
+  }
+  bench::emit_bench_scalar(kBench, "campaign_render_speedup_t4",
+                           render_means.front() / render_means.back());
 
   // ---- S2 memo cache: a second aggregation round over the same uploads is
   // the incremental-rebuild pattern the cache exists for.

@@ -35,8 +35,11 @@ ExperimentRun run_experiment(const DatasetSpec& dataset,
   std::string building = dataset.building.name;
   int floor = 1;
   bool have_target = false;
+  // The render honours the caller's thread pin like every other stage.
+  sim::CampaignOptions campaign = dataset.options;
+  campaign.threads = config.parallel.threads;
   sim::generate_campaign_streaming(
-      dataset.building, dataset.options, dataset.seed,
+      dataset.building, campaign, dataset.seed,
       [&](sim::SensorRichVideo&& video) {
         if (!have_target) {
           building = video.building;

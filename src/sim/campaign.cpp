@@ -1,10 +1,21 @@
 #include "sim/campaign.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <thread>
+
+#include "common/thread_pool.hpp"
 
 namespace crowdmap::sim {
 
 namespace {
+
+// One planned upload: the choices drawn from the campaign's shared stream.
+struct UploadJob {
+  const RoomSpec* room = nullptr;  // nullptr = hallway-only walk
+  bool junk = false;               // hallway walks only
+  Lighting lighting;
+};
 
 // Trims IMU samples recorded after `cutoff` (synchronized streams share the
 // video clock, so a timestamp comparison is the whole truncation).
@@ -59,52 +70,63 @@ void generate_campaign_streaming(
     users.emplace_back(scene, spec, sim, user_rng.fork());
   }
 
+  // Phase 1: every draw from the shared stream, in campaign order — room
+  // visits, then hallway walks (junk coin before lighting). The job's index
+  // is its campaign-wide upload id: each simulator numbers its own videos
+  // from 0, which would collide across users, and the cloud side (and the S2
+  // memo cache) relies on upload identity being unique.
   auto lighting = [&rng, &options] {
     return rng.chance(options.night_fraction) ? Lighting::night()
                                               : Lighting::day();
   };
-  // Campaign-wide upload ids: each simulator numbers its own videos from 0,
-  // which would collide across users; the cloud side (and the S2 memo cache)
-  // relies on upload identity being unique.
-  int next_video_id = 0;
-  int user_cursor = 0;
-  auto next_user = [&]() -> std::pair<UserSimulator&, int> {
-    const int id = user_cursor;
-    UserSimulator& u = users[static_cast<std::size_t>(user_cursor)];
-    user_cursor = (user_cursor + 1) % static_cast<int>(users.size());
-    return {u, id};
-  };
-
-  // Room visits.
+  std::vector<UploadJob> jobs;
   for (const auto& room : spec.rooms) {
     for (int k = 0; k < options.room_videos_per_room; ++k) {
-      auto [user, id] = next_user();
-      auto video = user.room_visit(room, options.hallway_distance, lighting());
-      video.user_id = id;
-      video.video_id = next_video_id++;
-      if (options.adversarial.enabled()) {
-        apply_adversarial(
-            video, options.adversarial,
-            rng.stream(0xADB10000u +
-                       static_cast<std::uint64_t>(video.video_id)));
-      }
-      sink(std::move(video));
+      jobs.push_back({&room, false, lighting()});
     }
   }
-  // Hallway walks.
   for (int k = 0; k < options.hallway_walks; ++k) {
-    auto [user, id] = next_user();
-    SensorRichVideo video = rng.chance(options.junk_fraction)
-                                ? user.junk_video(lighting())
-                                : user.hallway_walk(lighting());
-    video.user_id = id;
-    video.video_id = next_video_id++;
-    if (options.adversarial.enabled()) {
-      apply_adversarial(
-          video, options.adversarial,
-          rng.stream(0xADB10000u + static_cast<std::uint64_t>(video.video_id)));
+    const bool junk = rng.chance(options.junk_fraction);
+    jobs.push_back({nullptr, junk, lighting()});
+  }
+
+  // Phase 2: users take uploads round-robin, so round r (ids [r*U, (r+1)*U))
+  // holds one upload per user. Each simulator owns its stream and the scene
+  // is read-only, so a round's uploads render independently; a user's next
+  // upload waits for the round barrier.
+  const std::size_t round = users.size();
+  std::size_t threads = options.threads;
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  threads = std::min(threads, round);
+  std::unique_ptr<common::ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<common::ThreadPool>(threads - 1);
+
+  std::vector<SensorRichVideo> slots(round);
+  for (std::size_t first = 0; first < jobs.size(); first += round) {
+    const std::size_t count = std::min(round, jobs.size() - first);
+    common::parallel_for(pool.get(), count, [&](std::size_t u) {
+      const UploadJob& job = jobs[first + u];
+      UserSimulator& user = users[u];
+      SensorRichVideo video =
+          job.room != nullptr
+              ? user.room_visit(*job.room, options.hallway_distance,
+                                job.lighting)
+          : job.junk ? user.junk_video(job.lighting)
+                     : user.hallway_walk(job.lighting);
+      video.user_id = static_cast<int>(u);
+      video.video_id = static_cast<int>(first + u);
+      if (options.adversarial.enabled()) {
+        apply_adversarial(video, options.adversarial,
+                          rng.stream(0xADB10000u + first + u));
+      }
+      slots[u] = std::move(video);
+    });
+    // Moved out of its slot first so the round's frames are freed as they
+    // are consumed, whatever the sink keeps.
+    for (std::size_t u = 0; u < count; ++u) {
+      SensorRichVideo video = std::move(slots[u]);
+      sink(std::move(video));
     }
-    sink(std::move(video));
   }
 }
 

@@ -3,6 +3,7 @@
 // day — the stand-in for the paper's 25 users / 301 videos dataset (§V).
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <vector>
 
@@ -37,6 +38,9 @@ struct CampaignOptions {
   double hallway_distance = 12.0;   // meters walked after leaving a room
   AdversarialOptions adversarial;   // deliberate capture damage (off by default)
   SimOptions sim;
+  /// Render threads, counting the caller: 0 = hardware_concurrency, 1 =
+  /// serial with no pool. The videos are byte-identical at any count.
+  std::size_t threads = 0;
 };
 
 /// A generated dataset: ground truth + all uploads.
@@ -61,6 +65,11 @@ struct Campaign {
 /// accumulating them. Raw frames dominate memory (a full campaign holds
 /// hundreds of MB of pixels), so pipelines should consume videos one at a
 /// time and keep only extracted features.
+///
+/// Videos render in rounds of one upload per user (`max(users, 1)` videos)
+/// on a pool of `options.threads`, so at most one round is held here at a
+/// time. `sink` always runs on the calling thread, once per video, in
+/// ascending `video_id` order.
 void generate_campaign_streaming(
     const FloorPlanSpec& spec, const CampaignOptions& options, std::uint64_t seed,
     const std::function<void(SensorRichVideo&&)>& sink);

@@ -593,3 +593,50 @@ TEST(Ingest, ParallelDeliveryThreadSafe) {
               blobs[static_cast<std::size_t>(u)]);
   }
 }
+
+TEST(Ingest, NoSessionExpiresWhileChunksArriveWithinTimeout) {
+  // Every session is opened before the first chunk and the clock ticks once
+  // per delivered chunk, so no session can sit idle for more ticks than there
+  // are chunks in total: a timeout of that many ticks must never fire, under
+  // any interleaving of the senders.
+  constexpr int kSessions = 8;
+  constexpr int kRounds = 20;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<cl::Blob> blobs;
+    std::vector<std::vector<cl::Chunk>> chunk_sets;
+    std::uint64_t total_chunks = 0;
+    for (int s = 0; s < kSessions; ++s) {
+      const std::string id = std::string("s").append(std::to_string(s));
+      // Uneven sizes so senders finish at different times.
+      blobs.push_back(make_blob(1500 + 700 * static_cast<std::size_t>(s),
+                                static_cast<std::uint64_t>(round * 100 + s)));
+      chunk_sets.push_back(cl::split_into_chunks(blobs.back(), id, 300));
+      total_chunks += chunk_sets.back().size();
+    }
+    cl::DocumentStore store;
+    cl::IngestConfig config;
+    config.session_timeout_ticks = total_chunks;
+    cl::IngestService ingest(store, {}, config);
+    for (int s = 0; s < kSessions; ++s) {
+      ingest.open_session(std::string("s").append(std::to_string(s)), "Lab1",
+                          1);
+    }
+    std::vector<std::thread> threads;
+    threads.reserve(kSessions);
+    for (int s = 0; s < kSessions; ++s) {
+      threads.emplace_back([&ingest, &chunk_sets, s] {
+        for (const auto& c : chunk_sets[static_cast<std::size_t>(s)]) {
+          ingest.deliver(c);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    ASSERT_EQ(ingest.stats().sessions_expired, 0u) << "round " << round;
+    ASSERT_EQ(store.size(), static_cast<std::size_t>(kSessions));
+    for (int s = 0; s < kSessions; ++s) {
+      const auto doc = store.get(std::string("s").append(std::to_string(s)));
+      ASSERT_TRUE(doc.has_value());
+      EXPECT_EQ(doc->payload, blobs[static_cast<std::size_t>(s)]);
+    }
+  }
+}

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <thread>
+#include <vector>
 
 #include "common/mathutil.hpp"
 #include "common/rng.hpp"
@@ -335,23 +339,120 @@ TEST(Campaign, GeneratesExpectedVideoCount) {
   EXPECT_GT(campaign.frame_count(), 100u);
 }
 
-TEST(Campaign, StreamingMatchesBatch) {
+namespace {
+
+// FNV-1a over every byte a video carries: pixels, timestamps, true poses,
+// IMU samples and the upload's identity/labels.
+std::uint64_t hash_video(const cs::SensorRichVideo& v) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  const auto pod = [&h](const auto& value) {
+    unsigned char bytes[sizeof(value)];
+    std::memcpy(bytes, &value, sizeof(value));
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 0x100000001B3ull;
+    }
+  };
+  pod(v.user_id);
+  pod(v.video_id);
+  pod(v.lighting.lux);
+  pod(v.lighting.incandescent);
+  pod(v.junk);
+  pod(v.true_room_id);
+  for (const auto& frame : v.frames) {
+    pod(frame.t);
+    pod(frame.true_pose.position.x);
+    pod(frame.true_pose.position.y);
+    pod(frame.true_pose.theta);
+    for (int y = 0; y < frame.image.height(); ++y) {
+      for (int x = 0; x < frame.image.width(); ++x) pod(frame.image.at(x, y));
+    }
+  }
+  for (const auto& s : v.imu.samples) {
+    pod(s.t);
+    pod(s.accel_magnitude);
+    pod(s.gyro_z);
+    pod(s.compass);
+  }
+  return h;
+}
+
+// Per-video hashes of one streamed campaign.
+std::vector<std::uint64_t> campaign_hashes(const cs::FloorPlanSpec& spec,
+                                           const cs::CampaignOptions& options,
+                                           std::uint64_t seed) {
+  std::vector<std::uint64_t> hashes;
+  cs::generate_campaign_streaming(
+      spec, options, seed,
+      [&](cs::SensorRichVideo&& v) { hashes.push_back(hash_video(v)); });
+  return hashes;
+}
+
+cs::CampaignOptions small_campaign() {
   cs::CampaignOptions options;
-  options.room_videos_per_room = 0;
-  options.hallway_walks = 3;
   options.sim.fps = 2.0;
   options.sim.camera.width = 60;
   options.sim.camera.height = 80;
+  return options;
+}
+
+}  // namespace
+
+TEST(Campaign, StreamingMatchesBatch) {
+  cs::CampaignOptions options = small_campaign();
+  options.room_videos_per_room = 0;
+  options.hallway_walks = 3;
   const auto spec = cs::lab2();
   const auto batch = cs::generate_campaign(spec, options, 103);
-  std::vector<std::size_t> streamed_sizes;
-  cs::generate_campaign_streaming(spec, options, 103,
-                                  [&](cs::SensorRichVideo&& v) {
-                                    streamed_sizes.push_back(v.frames.size());
-                                  });
-  ASSERT_EQ(streamed_sizes.size(), batch.videos.size());
-  for (std::size_t i = 0; i < streamed_sizes.size(); ++i) {
-    EXPECT_EQ(streamed_sizes[i], batch.videos[i].frames.size());
+  const auto streamed = campaign_hashes(spec, options, 103);
+  ASSERT_EQ(streamed.size(), batch.videos.size());
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    EXPECT_EQ(streamed[i], hash_video(batch.videos[i])) << "video " << i;
+  }
+}
+
+TEST(Campaign, ByteIdenticalAcrossThreadCounts) {
+  // Six users: 7 threads exceeds a round, 4 does not divide it, 3 is odd.
+  cs::CampaignOptions base = small_campaign();
+  base.users = 6;
+  base.hallway_walks = 6;
+  cs::CampaignOptions junky = base;
+  junky.junk_fraction = 0.5;
+  cs::CampaignOptions damaged = base;
+  damaged.adversarial.truncate_fraction = 0.5;
+  damaged.adversarial.dropout_fraction = 0.5;
+  const auto spec = cs::lab2();
+  for (const auto& options : {junky, damaged}) {
+    cs::CampaignOptions serial = options;
+    serial.threads = 1;
+    const auto reference = campaign_hashes(spec, serial, 113);
+    ASSERT_EQ(reference.size(), spec.rooms.size() + static_cast<std::size_t>(
+                                                        options.hallway_walks));
+    for (const std::size_t threads : {2u, 3u, 4u, 7u}) {
+      cs::CampaignOptions parallel = options;
+      parallel.threads = threads;
+      EXPECT_EQ(campaign_hashes(spec, parallel, 113), reference)
+          << "threads=" << threads;
+    }
+  }
+}
+
+TEST(Campaign, StreamingSinkRunsOnCallerInIdOrder) {
+  cs::CampaignOptions options = small_campaign();
+  options.users = 3;
+  options.room_videos_per_room = 0;
+  options.hallway_walks = 7;  // two full rounds and a partial one
+  options.threads = 4;
+  const auto caller = std::this_thread::get_id();
+  std::vector<int> ids;
+  cs::generate_campaign_streaming(
+      cs::lab1(), options, 127, [&](cs::SensorRichVideo&& v) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        ids.push_back(v.video_id);
+      });
+  ASSERT_EQ(ids.size(), 7u);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(ids[i], static_cast<int>(i));
   }
 }
 
