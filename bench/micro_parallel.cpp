@@ -1,6 +1,6 @@
 // Parallel hot-path speedups: pairwise aggregation fan-out, sharded layout
 // scoring, and the S2 memo cache, at 1 / 2 / 4 threads, plus the simulated
-// campaign render at 1 / 4 threads.
+// campaign render and one upload's trajectory extraction at 1 / 4 threads.
 //
 // Emits BENCH_parallel.json lines: per-stage wall-clock at each thread count,
 // the threads=4 vs threads=1 speedup ratios, S2 cache hit statistics, and the
@@ -22,12 +22,14 @@
 #include "room/layout.hpp"
 #include "sim/campaign.hpp"
 #include "trajectory/aggregate.hpp"
+#include "trajectory/trajectory.hpp"
 #include "vision/panorama.hpp"
 
 namespace {
 
 constexpr const char* kBench = "parallel";
 constexpr int kRepeats = 3;
+constexpr int kExtractRepeats = 10;  // one upload takes ~0.1 s: sample it more
 
 // threads counts the calling thread; the pool supplies the rest.
 crowdmap::common::ThreadPool* pool_for(
@@ -133,6 +135,33 @@ int main() {
   }
   bench::emit_bench_scalar(kBench, "campaign_render_speedup_t4",
                            render_means.front() / render_means.back());
+
+  // ---- One upload's extraction: per-frame gate + HOG and per-key-frame
+  // descriptors on the pool, selection serial (a full-size Gym room visit).
+  const auto gym = eval::gym_dataset(1.0);
+  const auto gym_scene = sim::Scene::from_spec(gym.building, gym.seed);
+  sim::UserSimulator gym_user(gym_scene, gym.building, gym.options.sim,
+                              common::Rng(gym.seed));
+  const auto upload = gym_user.room_visit(
+      gym.building.rooms.front(), gym.options.hallway_distance,
+      sim::Lighting::day());
+  std::vector<double> extract_means;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    std::unique_ptr<common::ThreadPool> owner;
+    common::ThreadPool* pool = pool_for(threads, owner);
+    std::vector<double> samples;
+    for (int r = 0; r < kExtractRepeats; ++r) {
+      timer.restart();
+      (void)trajectory::extract_trajectory(upload, {}, pool);
+      samples.push_back(timer.elapsed_seconds());
+    }
+    bench::emit_bench_json(kBench,
+                           "extract_upload_threads" + std::to_string(threads),
+                           samples);
+    extract_means.push_back(common::summarize(samples).mean);
+  }
+  bench::emit_bench_scalar(kBench, "extract_upload_speedup_t4",
+                           extract_means.front() / extract_means.back());
 
   // ---- S2 memo cache: a second aggregation round over the same uploads is
   // the incremental-rebuild pattern the cache exists for.

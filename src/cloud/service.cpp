@@ -54,8 +54,11 @@ CrowdMapService::CrowdMapService(core::PipelineConfig config,
   cache_warmstart_rejected_ = &registry_->counter(
       "crowdmap_cache_warmstart_rejected_total", {},
       "Artifact-cache warm-start snapshots rejected as truncated or corrupt");
-  queue_depth_ = &registry_->gauge("crowdmap_worker_queue_depth", {},
-                                   "Extraction tasks waiting in the pool");
+  // Counts every queued pool task: upload extractions, floor refreshes and
+  // the helper tasks their parallel_for fan-outs enqueue.
+  queue_depth_ = &registry_->gauge(
+      "crowdmap_worker_queue_depth", {},
+      "Tasks waiting in the worker pool, parallel_for helpers included");
   extract_seconds_ = &registry_->histogram(
       "crowdmap_extract_seconds", {}, {},
       "Per-upload trajectory extraction latency");
@@ -155,8 +158,8 @@ core::IncrementalPlanner& CrowdMapService::planner_for(const FloorKey& key) {
     slot = std::make_unique<core::IncrementalPlanner>(config_, registry_);
     // The extraction pool doubles as the refresh pipeline's worker pool —
     // unless the config demands serial execution (threads == 1).
-    if (config_.parallel.threads != 1 && pool_.worker_count() > 0) {
-      slot->set_thread_pool(&pool_);
+    if (common::ThreadPool* pool = fan_out_pool()) {
+      slot->set_thread_pool(pool);
     }
     // All floors share the service recorder: one black box for the backend.
     if (flight_ != nullptr) slot->set_flight_recorder(flight_.get());
@@ -231,7 +234,8 @@ void CrowdMapService::dispatch_extraction(const Document& doc) {
       }
     }
     common::Stopwatch timer;
-    auto traj = trajectory::extract_trajectory(*video, config_.extraction);
+    auto traj = trajectory::extract_trajectory(*video, config_.extraction,
+                                               fan_out_pool());
     extract_seconds_->observe(timer.elapsed_seconds());
     const FloorKey key{doc.building, doc.floor};
     // Admission applies the pipeline's unqualified-data gates and hashes the

@@ -189,6 +189,14 @@ class CrowdMapService {
   core::IncrementalPlanner& planner_for(const FloorKey& key)
       CM_EXCLUDES(mutex_);
 
+  /// The pool one upload's extraction and a floor's refresh fan their work
+  /// out over: the service pool, or nullptr when the config demands serial
+  /// execution (parallel.threads == 1).
+  [[nodiscard]] common::ThreadPool* fan_out_pool() noexcept {
+    return config_.parallel.threads != 1 && pool_.worker_count() > 0 ? &pool_
+                                                                     : nullptr;
+  }
+
   /// Coalesced background refresh: at most one pending refresh task per
   /// floor; admissions while one runs schedule exactly one more.
   void schedule_refresh(const FloorKey& key) CM_EXCLUDES(mutex_);

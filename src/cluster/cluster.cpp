@@ -175,7 +175,7 @@ std::unique_ptr<cloud::CrowdMapService> Cluster::make_service(
       node.registry, options_.storage_env);
   node.queue_depth = &node.registry->gauge(
       "crowdmap_worker_queue_depth", {},
-      "Extraction tasks waiting in the pool");
+      "Tasks waiting in the worker pool, parallel_for helpers included");
   return service;
 }
 

@@ -91,7 +91,9 @@ class ThreadPool {
 /// Nesting is safe: because the caller drains the chunk cursor itself, every
 /// parallel_for completes even when all pool workers are blocked inside other
 /// parallel_for calls — queued helper tasks that arrive after the loop is
-/// done find the cursor exhausted and return without touching fn.
+/// done find the cursor exhausted and return without touching fn. For the
+/// same reason a call made from a task that a stopping pool is still
+/// draining completes on the caller alone.
 template <typename F>
 void parallel_for(ThreadPool* pool, std::size_t n, F&& fn,
                   std::size_t grain = 1) {
@@ -128,18 +130,25 @@ void parallel_for(ThreadPool* pool, std::size_t n, F&& fn,
   };
   const std::size_t helpers = std::min(pool->worker_count(), chunks - 1);
   for (std::size_t h = 0; h < helpers; ++h) {
-    (void)pool->submit([shared, drain] {
-      {
-        MutexLock lock(shared->mutex);
-        ++shared->active;
-      }
-      drain();
-      {
-        MutexLock lock(shared->mutex);
-        --shared->active;
-      }
-      shared->idle.notify_all();
-    });
+    try {
+      (void)pool->submit([shared, drain] {
+        {
+          MutexLock lock(shared->mutex);
+          ++shared->active;
+        }
+        drain();
+        {
+          MutexLock lock(shared->mutex);
+          --shared->active;
+        }
+        shared->idle.notify_all();
+      });
+    } catch (...) {
+      // A pool that is shutting down takes no new tasks. Helpers are only
+      // help: the caller drains whatever they would have taken, and must
+      // not unwind while an already-queued helper can still reach fn.
+      break;
+    }
   }
   drain();  // the calling thread always participates
   {

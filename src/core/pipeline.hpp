@@ -152,7 +152,8 @@ class CrowdMapPipeline {
 
   /// Ingests one upload: extracts the trajectory (dead reckoning +
   /// key-frames) and discards the raw pixels. Unqualified uploads (too few
-  /// key-frames, implausible motion) are filtered here.
+  /// key-frames, implausible motion) are filtered here. Extraction fans out
+  /// over worker_pool(), so parallel.threads == 1 keeps it serial.
   void ingest(const sim::SensorRichVideo& video);
 
   /// Ingests a pre-extracted trajectory (e.g. from a stored dataset).
@@ -211,8 +212,8 @@ class CrowdMapPipeline {
     return external_flight_ != nullptr ? external_flight_ : owned_flight_.get();
   }
 
-  /// The pool run() fans work out on: the external pool if one was shared,
-  /// else a lazily created config-sized pool, else nullptr when
+  /// The pool ingest() and run() fan work out on: the external pool if one
+  /// was shared, else a lazily created config-sized pool, else nullptr when
   /// config.parallel.threads == 1 (serial legacy execution).
   [[nodiscard]] common::ThreadPool* worker_pool();
 

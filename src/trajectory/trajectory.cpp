@@ -27,7 +27,8 @@ sensors::TrackPoint track_at(const std::vector<sensors::TrackPoint>& track,
 }
 
 Trajectory extract_trajectory(const sim::SensorRichVideo& video,
-                              const ExtractionConfig& config) {
+                              const ExtractionConfig& config,
+                              common::ThreadPool* pool) {
   Trajectory traj;
   traj.video_id = video.video_id;
   traj.user_id = video.user_id;
@@ -53,65 +54,90 @@ Trajectory extract_trajectory(const sim::SensorRichVideo& video,
     return headings[idx];
   };
 
-  // Key-frame selection: HOG + NCC against the last kept frame (§III.B.I).
-  // Pass 1 picks indices cheaply; descriptors are computed only for the
-  // frames that survive selection and decimation.
+  // Per-frame phase: grayscale, the unqualified-data gate (blurred or
+  // featureless frames carry no anchors) and the HOG used by selection.
+  // Each index writes only its own slot.
+  struct FrameScan {
+    imaging::Image gray;
+    std::vector<float> hog;
+    bool qualified = false;
+  };
+  std::vector<FrameScan> scans(video.frames.size());
+  common::parallel_for(
+      pool, scans.size(),
+      [&](std::size_t i) {
+        FrameScan& scan = scans[i];
+        scan.gray = video.frames[i].image.to_gray();
+        if (scan.gray.stddev() < config.min_frame_stddev) {
+          scan.gray = {};
+          return;
+        }
+        scan.hog = imaging::hog_descriptor(scan.gray, config.hog);
+        scan.qualified = true;
+      },
+      /*grain=*/4);
+
+  // Selection phase, serial: HOG + NCC against the last kept frame
+  // (§III.B.I) — each decision depends on the one before it.
   std::vector<std::size_t> selected;
-  std::vector<imaging::Image> selected_gray;
   {
-    std::vector<float> last_hog;
-    const imaging::Image* last_gray = nullptr;
-    for (std::size_t i = 0; i < video.frames.size(); ++i) {
-      imaging::Image gray = video.frames[i].image.to_gray();
-
-      // Unqualified-data gate: blurred/featureless frames carry no anchors.
-      if (gray.stddev() < config.min_frame_stddev) continue;
-
-      const auto hog = imaging::hog_descriptor(gray, config.hog);
-      if (last_gray != nullptr) {
-        const double hog_dist = imaging::descriptor_distance(hog, last_hog);
-        const double ncc = imaging::normalized_cross_correlation(gray, *last_gray);
+    const FrameScan* last = nullptr;
+    for (std::size_t i = 0; i < scans.size(); ++i) {
+      const FrameScan& scan = scans[i];
+      if (!scan.qualified) continue;
+      if (last != nullptr) {
+        const double hog_dist =
+            imaging::descriptor_distance(scan.hog, last->hog);
+        const double ncc =
+            imaging::normalized_cross_correlation(scan.gray, last->gray);
         const bool extremely_similar = ncc > config.keyframe_ncc_max &&
                                        hog_dist < config.keyframe_hog_min;
         if (extremely_similar) continue;
       }
       selected.push_back(i);
-      selected_gray.push_back(std::move(gray));
-      last_gray = &selected_gray.back();
-      last_hog = hog;
+      last = &scan;
     }
   }
   // Uniform decimation to the key-frame budget.
   if (config.max_keyframes > 0 && selected.size() > config.max_keyframes) {
     std::vector<std::size_t> kept;
-    std::vector<imaging::Image> kept_gray;
     for (std::size_t k = 0; k < config.max_keyframes; ++k) {
       const std::size_t idx =
           k * (selected.size() - 1) / (config.max_keyframes - 1);
       if (!kept.empty() && kept.back() == selected[idx]) continue;
       kept.push_back(selected[idx]);
-      kept_gray.push_back(std::move(selected_gray[idx]));
     }
     selected = std::move(kept);
-    selected_gray = std::move(kept_gray);
+  }
+  // Only the key-frames' grays live on; release the rest before the
+  // descriptor phase allocates.
+  {
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < scans.size(); ++i) {
+      if (k < selected.size() && selected[k] == i) {
+        ++k;
+      } else {
+        scans[i] = {};
+      }
+    }
   }
 
-  for (std::size_t k = 0; k < selected.size(); ++k) {
+  // Per-key-frame phase: descriptors for the survivors, one slot each.
+  traj.keyframes.resize(selected.size());
+  common::parallel_for(pool, selected.size(), [&](std::size_t k) {
     const std::size_t i = selected[k];
     const auto& frame = video.frames[i];
-    KeyFrame kf;
+    KeyFrame& kf = traj.keyframes[k];
     kf.frame_index = i;
     kf.t = frame.t;
-    const auto tp = track_at(traj.points, frame.t);
-    kf.position = tp.position;
+    kf.position = track_at(traj.points, frame.t).position;
     kf.heading = heading_at(frame.t);
     kf.cheap = vision::compute_cheap_descriptors(frame.image);
-    kf.surf = vision::detect_and_describe(selected_gray[k], config.surf);
+    kf.surf = vision::detect_and_describe(scans[i].gray, config.surf);
     kf.true_position = frame.true_pose.position;
     kf.true_heading = frame.true_pose.theta;
-    kf.gray = std::move(selected_gray[k]);
-    traj.keyframes.push_back(std::move(kf));
-  }
+    kf.gray = std::move(scans[i].gray);
+  });
   return traj;
 }
 

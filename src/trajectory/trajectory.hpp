@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "geometry/vec2.hpp"
 #include "imaging/hog.hpp"
 #include "sensors/dead_reckoning.hpp"
@@ -70,8 +71,21 @@ struct ExtractionConfig {
 /// Builds a trajectory from an uploaded video: dead-reckon the IMU stream,
 /// select key-frames, compute descriptors. The video's pixel data is no
 /// longer needed afterwards.
+///
+/// With a `pool`, the per-frame work (grayscale, blur gate, HOG) and the
+/// per-key-frame descriptors fan out over it through `common::parallel_for`,
+/// so the caller may itself be one of the pool's workers. Key-frame
+/// selection stays a serial scan in frame order, and the parallel phases
+/// write only per-index slots, so the trajectory is byte-identical with or
+/// without a pool at any worker count. A null pool runs everything on the
+/// calling thread.
+///
+/// Transient memory: the grayscale copy (and HOG) of every frame that passes
+/// the blur gate is held until selection ends — one video's worth, not just
+/// the key-frames' — then all but the key-frames' grays are released.
 [[nodiscard]] Trajectory extract_trajectory(const sim::SensorRichVideo& video,
-                                            const ExtractionConfig& config = {});
+                                            const ExtractionConfig& config = {},
+                                            common::ThreadPool* pool = nullptr);
 
 /// Position on the dead-reckoned track at time t (linear interpolation).
 [[nodiscard]] sensors::TrackPoint track_at(

@@ -589,8 +589,10 @@ TEST(Ingest, ParallelDeliveryThreadSafe) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(store.size(), static_cast<std::size_t>(kUploads));
   for (int u = 0; u < kUploads; ++u) {
-    EXPECT_EQ(store.get(std::string("p").append(std::to_string(u)))->payload,
-              blobs[static_cast<std::size_t>(u)]);
+    const std::string id = std::string("p").append(std::to_string(u));
+    const auto doc = store.get(id);
+    ASSERT_TRUE(doc.has_value()) << "upload " << id << " missing";
+    EXPECT_EQ(doc->payload, blobs[static_cast<std::size_t>(u)]);
   }
 }
 

@@ -337,7 +337,7 @@ TEST(Cluster, OverloadedPrimaryShedsUploads) {
   // idempotent, so the test grabs the same handle and simulates a backlog.
   cluster.node_registry(view.primary)
       ->gauge("crowdmap_worker_queue_depth", {},
-              "Extraction tasks waiting in the pool")
+              "Tasks waiting in the worker pool, parallel_for helpers included")
       .set(100.0);
 
   const auto shed = cluster.submit_upload(

@@ -6,6 +6,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <future>
+#include <memory>
+#include <stdexcept>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -90,6 +93,37 @@ TEST(ParallelFor, FirstExceptionPropagates) {
   // The pool survives and stays usable.
   auto future = pool.submit([] { return 42; });
   EXPECT_EQ(future.get(), 42);
+}
+
+TEST(ParallelFor, CompletesInsideAPoolThatIsShuttingDown) {
+  // A task still queued when the pool's destructor begins runs while the
+  // pool refuses new tasks. Its parallel_for on that pool must cover every
+  // index on the caller rather than unwind half-submitted (a helper that did
+  // get queued would then run a destroyed fn).
+  const std::size_t n = 64;
+  std::vector<int> visits(n, 0);
+  std::future<void> done;
+  {
+    auto pool = std::make_unique<cc::ThreadPool>(1);
+    cc::ThreadPool* raw = pool.get();
+    done = raw->submit([raw, &visits] {
+      // Wait until the destructor has begun: submit() starts refusing.
+      for (;;) {
+        try {
+          (void)raw->submit([] {});
+        } catch (const std::runtime_error&) {
+          break;
+        }
+        std::this_thread::yield();
+      }
+      cc::parallel_for(raw, visits.size(), [&visits](std::size_t i) {
+        ++visits[i];
+      });
+    });
+    pool.reset();  // joins after draining the queue
+  }
+  EXPECT_NO_THROW(done.get());
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(visits[i], 1) << "index " << i;
 }
 
 // --------------------------------------------------- ThreadPool observers ---

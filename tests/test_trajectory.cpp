@@ -1,13 +1,19 @@
 // Tests for trajectory extraction, LCSS and resampling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <future>
+#include <vector>
 
 #include "common/mathutil.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "sim/buildings.hpp"
+#include "sim/campaign.hpp"
 #include "sim/user_sim.hpp"
 #include "trajectory/lcss.hpp"
+#include "trajectory/serialize.hpp"
 #include "trajectory/trajectory.hpp"
 
 namespace ct = crowdmap::trajectory;
@@ -192,6 +198,119 @@ TEST(Extraction, KeyframeRatioHelper) {
   EXPECT_GT(ratio, 0.0);
   EXPECT_LE(ratio, 1.0);
   EXPECT_EQ(ct::keyframe_ratio(traj, 0), 0.0);
+}
+
+namespace {
+
+// A small Gym campaign reaching every extraction path: blurred junk uploads
+// (the stddev gate), night lighting, adversarially truncated uploads, and
+// room spins that select more frames than extraction_config()'s budget
+// (the decimation path).
+constexpr std::uint64_t kCampaignSeed = 0xE17;
+
+cs::CampaignOptions extraction_campaign_options() {
+  cs::CampaignOptions options;
+  options.users = 3;
+  options.room_videos_per_room = 1;
+  options.hallway_walks = 3;
+  options.junk_fraction = 0.5;
+  options.night_fraction = 0.5;
+  options.adversarial.truncate_fraction = 0.5;
+  options.sim.fps = 2.0;
+  return options;
+}
+
+// Built once per test binary.
+const cs::Campaign& extraction_campaign() {
+  static const cs::Campaign campaign = cs::generate_campaign(
+      cs::gym(), extraction_campaign_options(), kCampaignSeed);
+  return campaign;
+}
+
+ct::ExtractionConfig extraction_config() {
+  ct::ExtractionConfig config;
+  config.max_keyframes = 10;
+  return config;
+}
+
+crowdmap::io::Bytes extract_bytes(const cs::SensorRichVideo& video,
+                                  cc::ThreadPool* pool) {
+  return ct::encode_trajectory(
+      ct::extract_trajectory(video, extraction_config(), pool));
+}
+
+}  // namespace
+
+TEST(Extraction, ParallelMatchesSerialByteForByte) {
+  const auto& campaign = extraction_campaign();
+  const auto config = extraction_config();
+  // The campaign must reach every path the parallel phases could disturb.
+  const auto& videos = campaign.videos;
+  const auto any = [&videos](auto pred) {
+    return std::any_of(videos.begin(), videos.end(), pred);
+  };
+  EXPECT_TRUE(any([&config](const cs::SensorRichVideo& v) {
+    return std::any_of(v.frames.begin(), v.frames.end(), [&](const auto& f) {
+      return f.image.to_gray().stddev() < config.min_frame_stddev;
+    });
+  })) << "no frame hits the blur gate";
+  EXPECT_TRUE(any([](const cs::SensorRichVideo& v) {
+    return v.lighting.incandescent;
+  })) << "no night upload";
+  EXPECT_TRUE(any([&config](const cs::SensorRichVideo& v) {
+    ct::ExtractionConfig unbudgeted = config;
+    unbudgeted.max_keyframes = 0;
+    return ct::extract_trajectory(v, unbudgeted).keyframes.size() >
+           config.max_keyframes;
+  })) << "no upload exceeds the key-frame budget";
+  // Adversarial damage never perturbs the base draws, so the undamaged
+  // campaign shows which uploads were cut short.
+  cs::CampaignOptions undamaged = extraction_campaign_options();
+  undamaged.adversarial = {};
+  std::vector<std::size_t> full_lengths;
+  cs::generate_campaign_streaming(
+      cs::gym(), undamaged, kCampaignSeed,
+      [&full_lengths](cs::SensorRichVideo&& v) {
+        full_lengths.push_back(v.frames.size());
+      });
+  ASSERT_EQ(full_lengths.size(), videos.size());
+  bool truncated = false;
+  for (std::size_t i = 0; i < videos.size(); ++i) {
+    truncated = truncated || videos[i].frames.size() < full_lengths[i];
+  }
+  EXPECT_TRUE(truncated) << "no truncated upload";
+
+  cc::ThreadPool one(1);
+  cc::ThreadPool three(3);
+  cc::ThreadPool six(6);
+  for (const auto& video : videos) {
+    const auto serial = extract_bytes(video, nullptr);
+    EXPECT_EQ(extract_bytes(video, &one), serial) << "video " << video.video_id;
+    EXPECT_EQ(extract_bytes(video, &three), serial)
+        << "video " << video.video_id;
+    EXPECT_EQ(extract_bytes(video, &six), serial) << "video " << video.video_id;
+  }
+}
+
+TEST(Extraction, NestedOnSaturatedPoolCompletes) {
+  // Eight extractions occupy both workers, and each fans out over the same
+  // pool: every call must still finish, because its caller drains its own
+  // work, and the bytes must not depend on who helped.
+  const auto& videos = extraction_campaign().videos;
+  std::vector<crowdmap::io::Bytes> serial;
+  for (const auto& video : videos) {
+    serial.push_back(extract_bytes(video, nullptr));
+  }
+  cc::ThreadPool pool(2);
+  std::vector<std::future<crowdmap::io::Bytes>> results;
+  for (std::size_t n = 0; n < 8; ++n) {
+    const auto& video = videos[n % videos.size()];
+    results.push_back(
+        pool.submit([&video, &pool] { return extract_bytes(video, &pool); }));
+  }
+  for (std::size_t n = 0; n < results.size(); ++n) {
+    EXPECT_EQ(results[n].get(), serial[n % videos.size()]) << "call " << n;
+  }
 }
 
 TEST(TrackAt, InterpolatesBetweenPoints) {
