@@ -230,8 +230,8 @@ class CrowdMapService {
 
   mutable common::Mutex mutex_;
   // One incremental planner per (building, floor) — each owns that floor's
-  // corpus, artifact cache and S2 memo. The mutex and both maps are declared
-  // before pool_ (and so destroyed after it joins): extraction/refresh tasks
+  // corpus and artifact cache. The mutex and both maps are declared before
+  // pool_ (and so destroyed after it joins): extraction/refresh tasks
   // reach planner_for() until the last worker exits — a service torn down
   // with work still queued (the cluster's node-crash fault) must join first.
   std::map<FloorKey, std::unique_ptr<core::IncrementalPlanner>> planners_

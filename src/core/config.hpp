@@ -24,17 +24,6 @@ struct ParallelConfig {
   /// count from std::thread::hardware_concurrency(); 1 executes everything
   /// serially on the calling thread (exact legacy behavior, no pool at all).
   std::size_t threads = 0;
-  /// Fan the O(N^2) pairwise trajectory matching of aggregation out over the
-  /// pool (per-pair results merge deterministically in pair order).
-  bool pairwise_matching = true;
-  /// Reconstruct rooms (panorama stitch + layout search) in parallel, and
-  /// let each layout search shard its hypothesis scoring over the same pool.
-  bool room_reconstruction = true;
-  /// Entries in the bounded S2 SURF match-score memo cache shared by every
-  /// aggregation this pipeline runs (0 disables). Hits skip the expensive
-  /// mutual-NN evaluation for key-frame pairs seen in earlier rounds or
-  /// re-runs; hit/miss totals are exported through the metrics registry.
-  std::size_t s2_cache_capacity = 1 << 15;
 };
 
 /// Incremental recomputation (docs/INCREMENTAL.md): the content-addressed
@@ -157,7 +146,7 @@ struct PipelineConfig {
   /// profiles (fast_profile, latency experiments) state their cut openly
   /// instead of silently overwriting the sampled-model count.
   int layout_hypothesis_cap = 0;
-  /// Worker pool, matching fan-out and S2 memo cache settings.
+  /// Worker pool size.
   ParallelConfig parallel;
   /// SIMD dispatch switches (result-invariant; see SimdConfig).
   SimdConfig simd;

@@ -144,9 +144,6 @@ constexpr ConfigKeyInfo kConfigKeys[] = {
                   "S1 appearance-similarity gate for candidate pairs"),
     CM_KEY_DOUBLE("match.nn_ratio", nullptr, aggregation.match.nn_ratio,
                   "Lowe nearest-neighbor ratio for descriptor matches"),
-    CM_KEY_SIZE("parallel.s2_cache_capacity", "parallel.s2_cache",
-                parallel.s2_cache_capacity,
-                "Bounded S2 match-score memo entries (0 disables)"),
     CM_KEY_SIZE("parallel.threads", nullptr, parallel.threads,
                 "Worker threads (0 = all cores, 1 = serial)"),
     CM_KEY_BOOL("simd.force_scalar", nullptr, simd.force_scalar,

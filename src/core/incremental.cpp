@@ -35,10 +35,6 @@ IncrementalPlanner::IncrementalPlanner(
       cache_->set_fault_injector(&cache_faults_);
     }
   }
-  if (config_.parallel.s2_cache_capacity > 0) {
-    s2_cache_ = std::make_unique<common::BoundedMemoCache>(
-        config_.parallel.s2_cache_capacity);
-  }
   if (config_.flight.enabled) {
     // One recorder for the planner's whole life: refresh N's events stay in
     // the rings next to refresh N+1's, which is exactly what a post-mortem
@@ -92,12 +88,11 @@ std::shared_ptr<const PipelineResult> IncrementalPlanner::refresh(
                    });
 
   // A fresh pipeline per refresh is the config hoist: the *expensive*
-  // persistent state (artifact cache, S2 memo, hashed corpus) lives in the
-  // planner, while per-run state (trace, fault serial) starts clean so a
-  // refresh is indistinguishable from a cold pipeline fed the same corpus.
+  // persistent state (artifact cache, hashed corpus) lives in the planner,
+  // while per-run state (trace, fault serial) starts clean so a refresh is
+  // indistinguishable from a cold pipeline fed the same corpus.
   CrowdMapPipeline pipeline(config_, registry_);
   pipeline.set_artifact_cache(cache_.get());
-  pipeline.set_s2_cache(s2_cache_.get());
   if (pool_ != nullptr) pipeline.set_thread_pool(pool_);
   if (obs::FlightRecorder* flight = flight_recorder(); flight != nullptr) {
     pipeline.set_flight_recorder(flight);

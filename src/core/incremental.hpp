@@ -5,14 +5,14 @@
 //   decode -> extract -> aggregate -> skeleton -> rooms -> arrange
 //
 // and owns what must persist *between* refreshes for incrementality to pay:
-// the extracted corpus (hashed once at admission), the content-addressed
-// ArtifactCache, and the S2 memo cache. Each refresh() builds a fresh
-// CrowdMapPipeline over the corpus with those caches attached: stages whose
-// input set did not change resolve to the same artifact keys and replay from
-// the cache; only work downstream of the new upload recomputes. Because
-// reuse is keyed on content, invalidation is implicit — there is no
-// out-of-date bit to get wrong, and the refreshed plan is byte-identical to
-// a cold rebuild at any thread count (tests/test_determinism.cpp).
+// the extracted corpus (hashed once at admission) and the content-addressed
+// ArtifactCache. Each refresh() builds a fresh CrowdMapPipeline over the
+// corpus with that cache attached: stages whose input set did not change
+// resolve to the same artifact keys and replay from the cache; only work
+// downstream of the new upload recomputes. Because reuse is keyed on
+// content, invalidation is implicit — there is no out-of-date bit to get
+// wrong, and the refreshed plan is byte-identical to a cold rebuild at any
+// thread count (tests/test_determinism.cpp).
 #pragma once
 
 #include <memory>
@@ -24,7 +24,6 @@
 #include "cache/artifact_cache.hpp"
 #include "common/annotations.hpp"
 #include "common/fault.hpp"
-#include "common/memo_cache.hpp"
 #include "common/thread_pool.hpp"
 #include "core/pipeline.hpp"
 #include "obs/flight.hpp"
@@ -121,7 +120,6 @@ class IncrementalPlanner {
   std::unique_ptr<obs::FlightRecorder> flight_;
   obs::FlightRecorder* external_flight_ = nullptr;
   obs::Histogram* refresh_hist_ = nullptr;  // owned by registry_
-  std::unique_ptr<common::BoundedMemoCache> s2_cache_;
   common::FaultInjector cache_faults_;  // drives kArtifactCacheEvict
   common::ThreadPool* pool_ = nullptr;
 

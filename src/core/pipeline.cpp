@@ -113,19 +113,9 @@ CrowdMapPipeline::CrowdMapPipeline(PipelineConfig config,
   rooms_reconstructed_ = &registry_->counter(
       "crowdmap_rooms_reconstructed_total", {},
       "Rooms surviving layout estimation and dedup");
-  s2_cache_hits_ = &registry_->counter(
-      "crowdmap_s2_cache_hits_total", {},
-      "S2 SURF match-score memo cache hits");
-  s2_cache_misses_ = &registry_->counter(
-      "crowdmap_s2_cache_misses_total", {},
-      "S2 SURF match-score memo cache misses");
   stages_degraded_ = &registry_->counter(
       "crowdmap_pipeline_degradation_events_total", {},
       "Stage failures the pipeline degraded through instead of aborting");
-  if (config_.parallel.s2_cache_capacity > 0) {
-    s2_cache_ = std::make_unique<common::BoundedMemoCache>(
-        config_.parallel.s2_cache_capacity);
-  }
   // With a shared registry (IncrementalPlanner builds a fresh pipeline per
   // refresh against the service's registry) the ingest counters carry prior
   // pipelines' traffic; diagnostics must report this pipeline's share only.
@@ -220,9 +210,6 @@ PipelineResult CrowdMapPipeline::run(const std::optional<WorldFrame>& frame) {
   const std::uint64_t attempted_before = panoramas_attempted_->value();
   const std::uint64_t stitched_before = panoramas_stitched_->value();
   const std::uint64_t rooms_before = rooms_reconstructed_->value();
-  common::BoundedMemoCache* s2 = s2_cache();
-  const std::uint64_t cache_hits_before = s2 ? s2->hits() : 0;
-  const std::uint64_t cache_misses_before = s2 ? s2->misses() : 0;
   const auto& fault_points = common::all_fault_points();
   std::vector<std::uint64_t> fires_before(fault_points.size());
   for (std::size_t i = 0; i < fires_before.size(); ++i) {
@@ -301,9 +288,7 @@ PipelineResult CrowdMapPipeline::run(const std::optional<WorldFrame>& frame) {
         faults_, common::faults::kStageAggregateFail, run_key, "aggregate",
         [&] {
           trajectory::AggregationRuntime agg_runtime;
-          agg_runtime.pool =
-              config_.parallel.pairwise_matching ? worker_pool() : nullptr;
-          agg_runtime.s2_cache = s2_cache();
+          agg_runtime.pool = worker_pool();
           if (artifacts != nullptr) {
             agg_runtime.pair_lookup =
                 [&](std::size_t i,
@@ -480,8 +465,7 @@ PipelineResult CrowdMapPipeline::run(const std::optional<WorldFrame>& frame) {
       base_layout.hypotheses =
           std::min(base_layout.hypotheses, config_.layout_hypothesis_cap);
     }
-    common::ThreadPool* rooms_pool =
-        config_.parallel.room_reconstruction ? worker_pool() : nullptr;
+    common::ThreadPool* rooms_pool = worker_pool();
     rooms_total = items.size();
     // Cache bypass under per-item chaos: a cached hit would skip this item's
     // fault interrogations and change which items a budgeted plan fires on,
@@ -768,12 +752,6 @@ PipelineResult CrowdMapPipeline::run(const std::optional<WorldFrame>& frame) {
       panoramas_stitched_->value() - stitched_before;
   result.diagnostics.rooms_reconstructed =
       rooms_reconstructed_->value() - rooms_before;
-  if (s2) {
-    result.diagnostics.s2_cache_hits = s2->hits() - cache_hits_before;
-    result.diagnostics.s2_cache_misses = s2->misses() - cache_misses_before;
-    s2_cache_hits_->increment(result.diagnostics.s2_cache_hits);
-    s2_cache_misses_->increment(result.diagnostics.s2_cache_misses);
-  }
   result.diagnostics.extract_seconds = result.trace.total_seconds("extract");
 
   // Artifact-cache reuse view + metric mirrors.

@@ -12,7 +12,6 @@
 #include "cache/artifact_cache.hpp"
 #include "common/expected.hpp"
 #include "common/fault.hpp"
-#include "common/memo_cache.hpp"
 #include "common/thread_pool.hpp"
 #include "core/config.hpp"
 #include "floorplan/floorplan.hpp"
@@ -73,7 +72,7 @@ struct PipelineDiagnostics {
   double skeleton_seconds = 0.0;
   double rooms_seconds = 0.0;
   double arrange_seconds = 0.0;
-  /// S2 memo cache traffic during this run (0/0 when the cache is disabled).
+  /// Always 0 (S2 scores are not memoized); perfbench still reads them.
   std::size_t s2_cache_hits = 0;
   std::size_t s2_cache_misses = 0;
   /// Artifact-cache reuse during this run (all zeros when detached).
@@ -193,13 +192,6 @@ class CrowdMapPipeline {
     artifact_cache_ = cache;
   }
 
-  /// Shares an external S2 memo cache (overrides the config-sized owned one)
-  /// so S2 scores persist across the fresh pipelines an IncrementalPlanner
-  /// builds per refresh. Not owned; nullptr returns to the owned cache.
-  void set_s2_cache(common::BoundedMemoCache* cache) noexcept {
-    external_s2_cache_ = cache;
-  }
-
   /// Shares an external flight recorder (IncrementalPlanner keeps one across
   /// the fresh pipelines it builds per refresh) instead of the owned one the
   /// pipeline creates when config.flight.enabled. Not owned; must outlive
@@ -247,10 +239,6 @@ class CrowdMapPipeline {
   /// Counter of injected fires for one fault point (labelled by point name).
   [[nodiscard]] obs::Counter& fault_counter(common::FaultPoint point);
 
-  [[nodiscard]] common::BoundedMemoCache* s2_cache() noexcept {
-    return external_s2_cache_ != nullptr ? external_s2_cache_ : s2_cache_.get();
-  }
-
   PipelineConfig config_;
   std::vector<trajectory::Trajectory> trajectories_;
   /// Content key per kept trajectory ({0,0} = not yet hashed; run() fills
@@ -260,8 +248,6 @@ class CrowdMapPipeline {
   std::shared_ptr<obs::Trace> trace_;
   common::ThreadPool* external_pool_ = nullptr;
   std::unique_ptr<common::ThreadPool> owned_pool_;
-  std::unique_ptr<common::BoundedMemoCache> s2_cache_;
-  common::BoundedMemoCache* external_s2_cache_ = nullptr;
   cache::ArtifactCache* artifact_cache_ = nullptr;
   std::unique_ptr<obs::FlightRecorder> owned_flight_;
   obs::FlightRecorder* external_flight_ = nullptr;
@@ -273,8 +259,6 @@ class CrowdMapPipeline {
   obs::Counter* panoramas_attempted_ = nullptr;
   obs::Counter* panoramas_stitched_ = nullptr;
   obs::Counter* rooms_reconstructed_ = nullptr;
-  obs::Counter* s2_cache_hits_ = nullptr;
-  obs::Counter* s2_cache_misses_ = nullptr;
   obs::Counter* stages_degraded_ = nullptr;
   common::FaultInjector faults_;
   /// Ingest-counter values at construction: a shared registry carries other

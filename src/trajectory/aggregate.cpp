@@ -227,21 +227,10 @@ AggregationResult place_edges(std::size_t n, std::vector<MatchEdge> edges,
   return result;
 }
 
-bool s2_cache_usable(std::span<const Trajectory> trajectories) {
-  std::vector<int> ids;
-  ids.reserve(trajectories.size());
-  for (const auto& traj : trajectories) ids.push_back(traj.video_id);
-  std::sort(ids.begin(), ids.end());
-  return std::adjacent_find(ids.begin(), ids.end()) == ids.end();
-}
-
 AggregationResult aggregate_trajectories(std::span<const Trajectory> trajectories,
                                          const AggregationConfig& config,
                                          const AggregationRuntime& runtime) {
   const std::size_t n = trajectories.size();
-  common::BoundedMemoCache* s2_cache =
-      runtime.s2_cache && s2_cache_usable(trajectories) ? runtime.s2_cache
-                                                        : nullptr;
   // Pairwise matching, fanned out over the pool. Each (i, j) pair owns slot p
   // in lexicographic pair order and the merge below walks slots in that same
   // order, so the edge list is identical to the serial nested loop's.
@@ -262,10 +251,8 @@ AggregationResult aggregate_trajectories(std::span<const Trajectory> trajectorie
     }
     const std::optional<PairMatch> match =
         config.method == AggregationMethod::kSequenceBased
-            ? match_trajectories(trajectories[i], trajectories[j], config.match,
-                                 s2_cache)
-            : match_single_image(trajectories[i], trajectories[j], config.match,
-                                 s2_cache);
+            ? match_trajectories(trajectories[i], trajectories[j], config.match)
+            : match_single_image(trajectories[i], trajectories[j], config.match);
     PairDecision decision;
     if (match) {
       decision.matched = true;

@@ -25,17 +25,13 @@ struct PairDecision {
 };
 
 /// Shared runtime resources for aggregation, owned by the caller (the
-/// pipeline shares one pool and one S2 memo across every stage). Every
-/// member is optional; the default runs the exact serial legacy path.
+/// pipeline shares one pool across every stage). Every member is optional;
+/// the default runs the exact serial legacy path.
 struct AggregationRuntime {
   /// Fans the O(N^2) pairwise matching out over the pool (plus the calling
   /// thread). Results are merged per-pair in index order, so any worker
   /// count — including nullptr — produces bit-identical edges.
   common::ThreadPool* pool = nullptr;
-  /// Memoizes S2 SURF scores across pairs/rounds/re-runs. Only consulted
-  /// when every trajectory in the batch has a distinct video_id (the cache
-  /// key is keyed on video identity); otherwise silently bypassed.
-  common::BoundedMemoCache* s2_cache = nullptr;
   /// Pair-decision seam for the artifact cache (the pipeline wires these to
   /// content-addressed lookups; see src/core/stage_artifacts.hpp). When
   /// `pair_lookup(i, j)` returns a decision it is used verbatim and the
@@ -87,8 +83,8 @@ struct AggregationResult {
 
 /// Aggregates trajectories: O(n^2) pairwise matching, union of accepted
 /// matches, then BFS placement of the largest component from its root.
-/// `runtime` supplies the optional worker pool and S2 memo cache; the result
-/// does not depend on either (same edges, same poses, bit for bit).
+/// `runtime` supplies the optional worker pool and pair-decision hooks; the
+/// result does not depend on the pool (same edges, same poses, bit for bit).
 [[nodiscard]] AggregationResult aggregate_trajectories(
     std::span<const Trajectory> trajectories, const AggregationConfig& config,
     const AggregationRuntime& runtime = {});
@@ -100,9 +96,5 @@ struct AggregationResult {
 [[nodiscard]] AggregationResult place_edges(std::size_t n,
                                             std::vector<MatchEdge> edges,
                                             const AggregationConfig& config);
-
-/// Whether the S2 memo cache may be used for this batch: video ids must be
-/// unique or cache keys would collide across distinct key-frames.
-[[nodiscard]] bool s2_cache_usable(std::span<const Trajectory> trajectories);
 
 }  // namespace crowdmap::trajectory

@@ -4,11 +4,9 @@
 // single-image aggregation baseline evaluated in Fig. 7(a).
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "common/memo_cache.hpp"
 #include "trajectory/lcss.hpp"
 #include "trajectory/trajectory.hpp"
 #include "vision/similarity.hpp"
@@ -53,20 +51,10 @@ struct PairMatch {
   std::vector<FrameAnchor> anchors;
 };
 
-/// Stable identity of one S2 evaluation: both key-frames' (video_id,
-/// frame_index) plus the thresholds that shape the score. Valid as a memo key
-/// only while video ids are unique within the compared set — the aggregation
-/// layer checks that before enabling the cache.
-[[nodiscard]] std::uint64_t s2_cache_key(const Trajectory& a, std::size_t kf_a,
-                                         const Trajectory& b, std::size_t kf_b,
-                                         const MatchConfig& config) noexcept;
-
 /// Finds key-frame anchors between two trajectories (S1 gate then S2 gate).
-/// `s2_cache` memoizes the expensive SURF mutual-NN scores across calls
-/// (nullptr = always recompute); cached and fresh scores are bit-identical.
-[[nodiscard]] std::vector<FrameAnchor> find_anchors(
-    const Trajectory& a, const Trajectory& b, const MatchConfig& config,
-    common::BoundedMemoCache* s2_cache = nullptr);
+[[nodiscard]] std::vector<FrameAnchor> find_anchors(const Trajectory& a,
+                                                    const Trajectory& b,
+                                                    const MatchConfig& config);
 
 /// Rigid transform implied by one anchor: assumes the two cameras observed
 /// the same scene from (approximately) the same pose.
@@ -75,13 +63,11 @@ struct PairMatch {
 /// Sequence-based matching: anchors → transform candidates → LCSS S3
 /// verification. Returns the accepted transform or nullopt.
 [[nodiscard]] std::optional<PairMatch> match_trajectories(
-    const Trajectory& a, const Trajectory& b, const MatchConfig& config,
-    common::BoundedMemoCache* s2_cache = nullptr);
+    const Trajectory& a, const Trajectory& b, const MatchConfig& config);
 
 /// Single-image baseline: accepts the best anchor's transform directly, with
 /// no sequence verification (Fig. 7(a)'s "Single Image Aggregation").
 [[nodiscard]] std::optional<PairMatch> match_single_image(
-    const Trajectory& a, const Trajectory& b, const MatchConfig& config,
-    common::BoundedMemoCache* s2_cache = nullptr);
+    const Trajectory& a, const Trajectory& b, const MatchConfig& config);
 
 }  // namespace crowdmap::trajectory

@@ -125,7 +125,7 @@ TEST(Api, IncrementalRefreshMatchesColdRebuildByteForByte) {
 TEST(Api, RepeatBuildReusesEverythingAndKeepsConfigHoisted) {
   // Regression for the per-build config/state rebuild: a second build over
   // an unchanged corpus must replay every cached stage (the planner keeps
-  // the artifact cache, S2 memo and hashed corpus across refreshes) and
+  // the artifact cache and hashed corpus across refreshes) and
   // still return the same bytes.
   const auto videos = tiny_campaign(812);
   const std::string building = videos.front().building;
@@ -143,8 +143,6 @@ TEST(Api, RepeatBuildReusesEverythingAndKeepsConfigHoisted) {
   EXPECT_TRUE(second.cache.skeleton_reused);
   EXPECT_TRUE(second.cache.arrange_reused);
   EXPECT_EQ(second.cache.artifact_misses, 0u);
-  // The S2 memo also persists across refreshes now that the planner owns it.
-  EXPECT_EQ(second.result.diagnostics.s2_cache_misses, 0u);
 }
 
 TEST(Api, PersistedCacheWarmsARestartedBackend) {

@@ -87,12 +87,10 @@ TEST(ConfigOverrides, DeprecatedAliasesStillApply) {
   co::PipelineConfig config;
   const auto file = cc::ConfigFile::parse(
       "layout.shards = 3\n"
-      "skeleton.dilate = 4\n"
-      "parallel.s2_cache = 123\n");
+      "skeleton.dilate = 4\n");
   co::apply_config_overrides(config, file);
   EXPECT_EQ(config.layout.scoring_shards, 3);
   EXPECT_EQ(config.skeleton.final_dilate_cells, 4);
-  EXPECT_EQ(config.parallel.s2_cache_capacity, 123u);
 }
 
 TEST(ConfigOverrides, CanonicalAndAliasTogetherThrow) {

@@ -136,3 +136,37 @@ TEST(Determinism, IncrementalRefreshMatchesColdAtAnyThreadCount) {
     EXPECT_EQ(incremental_plan(videos, 3), reference) << "seed " << seed;
   }
 }
+
+TEST(Determinism, ResubmittedUploadMatchesColdRebuild) {
+  // An upload re-submitted under an existing video_id with different content
+  // replaces the earlier one: the warm refresh must hold no trace of the old
+  // content and return the bytes of a cold client fed only the final set.
+  for (const std::uint64_t seed : {912u, 77u}) {
+    const auto videos = campaign_videos(seed);
+    const std::size_t n = videos.size();
+    ASSERT_GE(n, 4u) << "seed " << seed;
+    const std::string building = videos.front().building;
+    const int floor = videos.front().floor;
+    for (std::size_t victim = 0; victim < n; ++victim) {
+      const std::size_t donor = (victim + 3) % n;
+      cs::SensorRichVideo replacement = videos[donor];
+      replacement.video_id = videos[victim].video_id;
+
+      auto client = client_with_threads(1);
+      std::vector<cs::SensorRichVideo> final_set;
+      for (std::size_t v = 0; v < n; ++v) {
+        if (v == donor) continue;
+        ASSERT_TRUE(client.submit_video(videos[v]).status.ok());
+        final_set.push_back(v == victim ? replacement : videos[v]);
+      }
+      (void)client.build_plan({building, floor, std::nullopt});
+      ASSERT_TRUE(client.submit_video(replacement).status.ok());
+      const auto response = client.build_plan({building, floor, std::nullopt});
+      const auto bytes =
+          crowdmap::floorplan::encode_floorplan(response.result.plan);
+
+      EXPECT_EQ(std::string(bytes.begin(), bytes.end()), cold_plan(final_set, 1))
+          << "seed " << seed << " victim " << victim;
+    }
+  }
+}
